@@ -36,14 +36,23 @@ metadata).  Because they are interchangeable, the columnar tier delegates
 overhead dominates short arrays — so ``backend=codegen`` wins on every
 model regardless of stream length.
 
-Two cache levels:
+Three cache levels:
 
 * per-graph (weak, validated by topological-order identity — the same
   idiom as the timed engine's plan cache): repeated executions of one
   graph reuse its compiled kernel;
 * per-source (keyed by the SHA-256 of the emitted source): structurally
   identical regions from *different* graph objects share one code object
-  and pay ``compile()`` once per process.
+  and pay ``compile()`` once per process;
+* on disk, behind the per-source level: when the graph's
+  :class:`~repro.driver.diskcache.DiskCache` is known (a ``Session`` with
+  a disk cache hands it to :func:`artifact_for`, which remembers it per
+  graph), a per-source miss reads the marshalled code object stored
+  under the source's SHA-256 and the interpreter's bytecode magic, and
+  only a disk miss runs ``compile()`` (then writes the entry back).  A
+  fresh process over a warm cache directory still emits each kernel —
+  emission yields the key and the kernel's bindings, and is cheap — but
+  never compiles one.
 
 Regions containing a primitive kind the emitter does not know fall back
 to the columnar interpreter, per region, with a recorded reason — every
@@ -53,13 +62,8 @@ Exceptions raised inside a generated kernel are re-raised with the node id
 and region name appended (protocol errors keep their type and message so
 ``pytest.raises(..., match=...)`` assertions hold under
 ``FUSEFLOW_BACKEND=codegen``); emitted sources are registered with
-:mod:`linecache` so tracebacks show real kernel lines, not ``<string>``.
-
-When :mod:`numba` is importable *and* ``FUSEFLOW_CODEGEN_NUMBA=1`` is set,
-kernels are additionally ``@njit``-wrapped, falling back to the plain
-compiled function on any numba typing failure (the kernels traffic in
-tuples, dicts, and tensor objects, which nopython mode typically rejects
-— see ``docs/backends.md`` for the caveats).
+:mod:`linecache` under each code object's ``co_filename`` so tracebacks
+show real kernel lines, not ``<string>``, for disk-loaded kernels too.
 """
 
 from __future__ import annotations
@@ -116,29 +120,12 @@ __all__ = [
     "codegen_cache_info",
     "codegen_tier",
     "clear_codegen_caches",
-    "numba_available",
     "small_stream_cutoff",
     "try_run_codegen",
 ]
 
-_TRUTHY = ("1", "true", "yes", "on")
-
-
 class CodegenError(RuntimeError):
     """A generated kernel failed for a non-protocol reason."""
-
-
-def numba_available() -> bool:
-    """Whether :mod:`numba` can be imported (never installs anything)."""
-    try:
-        import numba  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
-def _numba_requested() -> bool:
-    return os.environ.get("FUSEFLOW_CODEGEN_NUMBA", "").lower() in _TRUTHY
 
 
 _TIERS = ("token", "columnar")
@@ -206,14 +193,14 @@ class RegionArtifact:
     emit_seconds : float
         Wall time spent emitting the source.
     compile_seconds : float
-        Wall time spent in ``compile()``/``exec`` (0 on a code-cache hit).
+        Wall time spent obtaining the code object (``compile()``, or a
+        disk read and ``marshal.loads``) and ``exec``-ing it.
     fallback : str
         Empty when the region compiled; otherwise the reason the region
         runs on the columnar interpreter instead.
     code_cached : bool
-        True when the code object came from the per-source cache.
-    uses_numba : bool
-        True when the kernel was additionally ``@njit``-wrapped.
+        True when the code object came from the per-source cache, in
+        memory or on disk, rather than from ``compile()``.
     fn : callable or None
         The compiled kernel, or ``None`` when ``fallback`` is set.
     sha : str
@@ -238,7 +225,6 @@ class RegionArtifact:
     compile_seconds: float = 0.0
     fallback: str = ""
     code_cached: bool = False
-    uses_numba: bool = False
     fn: Optional[Callable] = None
     sha: str = ""
     probe: Tuple[str, ...] = ()
@@ -251,13 +237,29 @@ class RegionArtifact:
 # Caches
 # ----------------------------------------------------------------------
 
-#: graph -> (topological order list, {tier: artifact}, retentions).  The
-#: order list's identity doubles as a structure-version tag: SAMGraph
-#: rebuilds it on mutation.  Weak keys bound this cache by graph
-#: lifetime.  ``retentions`` is a list of ``(sha, finalizer)`` pairs
-#: pinning source-cache entries (and their linecache registrations) for
-#: as long as the graph lives — see :func:`_retain_sha_locked`.
-_GRAPH_ARTIFACTS: "weakref.WeakKeyDictionary[SAMGraph, Tuple[Any, Dict[str, RegionArtifact], List[Tuple[str, Any]]]]" = (
+@dataclass
+class _GraphSlot:
+    """One graph's entry in :data:`_GRAPH_ARTIFACTS`.
+
+    ``order`` is the topological order list the artifacts were emitted
+    from; its identity doubles as a structure-version tag (SAMGraph
+    rebuilds it on mutation).  ``retentions`` is a list of ``(sha,
+    finalizer)`` pairs pinning source-cache entries (and their linecache
+    registrations) for as long as the graph lives — see
+    :func:`_retain_sha_locked`.  ``disk_cache`` is the disk level the
+    graph's kernels are loaded from and stored to, remembered so tiers
+    emitted lazily at run time use it too.
+    """
+
+    order: Any
+    tiers: Dict[str, RegionArtifact]
+    retentions: List[Tuple[str, Any]]
+    disk_cache: Any = None
+
+
+#: graph -> its :class:`_GraphSlot`.  Weak keys bound this cache by graph
+#: lifetime.
+_GRAPH_ARTIFACTS: "weakref.WeakKeyDictionary[SAMGraph, _GraphSlot]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -296,6 +298,8 @@ _COUNTERS = {
     "artifact_misses": 0,
     "code_hits": 0,
     "code_misses": 0,
+    "code_disk_hits": 0,
+    "code_disk_misses": 0,
     "code_evictions": 0,
     "fallbacks": 0,
     "token_dispatches": 0,
@@ -305,6 +309,9 @@ _COUNTERS = {
 def codegen_cache_info() -> Dict[str, int]:
     """Snapshot of the artifact/code cache counters (for ``--profile``).
 
+    ``code_hits`` counts code objects found in memory,
+    ``code_disk_hits``/``code_disk_misses`` the in-memory misses that
+    consulted a disk cache, and ``code_misses`` the ``compile()`` calls.
     Includes ``code_entries``/``code_limit`` so a long-lived process can
     observe the bounded LRU's occupancy alongside the hit counters, and
     ``code_files``/``retained_sources`` so linecache growth stays
@@ -334,15 +341,15 @@ def cached_artifacts(graph) -> Dict[str, "RegionArtifact"]:
         The region :class:`~repro.sam.graph.SAMGraph` to look up.
     """
     with _CACHE_LOCK:
-        cached = _GRAPH_ARTIFACTS.get(graph)
-        return dict(cached[1]) if cached is not None else {}
+        slot = _GRAPH_ARTIFACTS.get(graph)
+        return dict(slot.tiers) if slot is not None else {}
 
 
 def clear_codegen_caches() -> None:
     """Drop compiled artifacts and reset counters (tests only)."""
     with _CACHE_LOCK:
-        for _order, _tiers, retentions in _GRAPH_ARTIFACTS.values():
-            for _sha, finalizer in retentions:
+        for slot in _GRAPH_ARTIFACTS.values():
+            for _sha, finalizer in slot.retentions:
                 finalizer.detach()
         _GRAPH_ARTIFACTS.clear()
         _SHA_REFS.clear()
@@ -2082,7 +2089,7 @@ def _probe_spec(graph: SAMGraph, order: List[str]) -> Tuple[Tuple[str, ...], int
 
 
 def _compile_artifact(
-    graph: SAMGraph, order: List[str], tier: str
+    graph: SAMGraph, order: List[str], tier: str, disk_cache
 ) -> RegionArtifact:
     started = time.perf_counter()
     emitter_cls = _ColumnarEmitter if tier == "columnar" else _Emitter
@@ -2104,44 +2111,13 @@ def _compile_artifact(
         )
     emit_seconds = time.perf_counter() - started
     sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    filename = f"<fuseflow-codegen {graph.name} {sha[:12]}>"
     compile_started = time.perf_counter()
-    with _CACHE_LOCK:
-        code = _CODE_CACHE.get(sha)
-        cached = code is not None
-        if cached:
-            _COUNTERS["code_hits"] += 1
-            _CODE_CACHE.move_to_end(sha)
-    if not cached:
-        # compile() runs outside the lock (it is the slow part); the
-        # re-insert below keeps the cache single-valued under races.
-        code = compile(source, filename, "exec")
-        with _CACHE_LOCK:
-            incumbent = _CODE_CACHE.get(sha)
-            if incumbent is not None:
-                code = incumbent
-                _CODE_CACHE.move_to_end(sha)
-            else:
-                _CODE_CACHE[sha] = code
-                # Register the source so tracebacks out of the kernel show
-                # real lines instead of an opaque <string> frame.
-                linecache.cache[filename] = (
-                    len(source),
-                    None,
-                    source.splitlines(True),
-                    filename,
-                )
-                _CODE_FILES.setdefault(sha, []).append(filename)
-                while len(_CODE_CACHE) > CODE_CACHE_LIMIT:
-                    oldest = next(iter(_CODE_CACHE))
-                    _purge_code_entry_locked(oldest)
-                    _COUNTERS["code_evictions"] += 1
-            _COUNTERS["code_misses"] += 1
+    code, cached = _code_for(
+        sha, source, f"<fuseflow-codegen {graph.name} {sha[:12]}>", disk_cache
+    )
     namespace = dict(_SHARED_GLOBALS)
     namespace.update(emitter.env)
     exec(code, namespace)
-    fn = namespace["_region_kernel"]
-    fn, uses_numba = _maybe_njit(fn)
     return RegionArtifact(
         region=graph.name,
         tier=tier,
@@ -2151,37 +2127,64 @@ def _compile_artifact(
         emit_seconds=emit_seconds,
         compile_seconds=time.perf_counter() - compile_started,
         code_cached=cached,
-        uses_numba=uses_numba,
-        fn=fn,
+        fn=namespace["_region_kernel"],
         sha=sha,
         probe=probe,
         probe_base=probe_base,
     )
 
 
-def _maybe_njit(fn: Callable) -> Tuple[Callable, bool]:
-    """Optionally wrap ``fn`` with numba, falling back on typing failure."""
-    if not _numba_requested() or not numba_available():
-        return fn, False
-    import numba
+def _code_for(sha: str, source: str, filename: str, disk_cache):
+    """The code object for ``source``: memory, then disk, then ``compile()``.
 
-    try:
-        jitted = numba.njit(fn)
-    except Exception:
-        return fn, False
+    Returns ``(code, cached)``; ``cached`` is False only when this call
+    ran ``compile()``.  A compiled code object is written back to
+    ``disk_cache`` (when given) after it enters the memory level.
+    """
+    with _CACHE_LOCK:
+        code = _CODE_CACHE.get(sha)
+        if code is not None:
+            _COUNTERS["code_hits"] += 1
+            _CODE_CACHE.move_to_end(sha)
+            return code, True
+    # The disk read and compile() run outside the lock (they are the slow
+    # part); the re-insert below keeps the cache single-valued under races.
+    if disk_cache is not None:
+        code = disk_cache.get_code(sha)
+    from_disk = code is not None
+    if not from_disk:
+        code = compile(source, filename, "exec")
+    with _CACHE_LOCK:
+        if disk_cache is not None:
+            _COUNTERS["code_disk_hits" if from_disk else "code_disk_misses"] += 1
+        if not from_disk:
+            _COUNTERS["code_misses"] += 1
+        incumbent = _CODE_CACHE.get(sha)
+        if incumbent is not None:
+            _CODE_CACHE.move_to_end(sha)
+            return incumbent, from_disk
+        _CODE_CACHE[sha] = code
+        # Register the source so tracebacks out of the kernel show real
+        # lines instead of an opaque <string> frame.  A disk-loaded code
+        # object keeps the filename of the process that compiled it.
+        linecache.cache[code.co_filename] = (
+            len(source),
+            None,
+            source.splitlines(True),
+            code.co_filename,
+        )
+        _CODE_FILES.setdefault(sha, []).append(code.co_filename)
+        while len(_CODE_CACHE) > CODE_CACHE_LIMIT:
+            _purge_code_entry_locked(next(iter(_CODE_CACHE)))
+            _COUNTERS["code_evictions"] += 1
+    if not from_disk and disk_cache is not None:
+        disk_cache.put_code(sha, code)
+    return code, from_disk
 
-    def wrapper(*args, _jitted=jitted, _plain=fn):
-        try:
-            return _jitted(*args)
-        except numba.errors.NumbaError:
-            # nopython typing rejected the kernel (tuple/dict/object
-            # traffic); the plain compiled function is the result.
-            return _plain(*args)
 
-    return wrapper, True
-
-
-def artifact_for(graph: SAMGraph, tier: Optional[str] = None) -> RegionArtifact:
+def artifact_for(
+    graph: SAMGraph, tier: Optional[str] = None, disk_cache=None
+) -> RegionArtifact:
     """The compiled :class:`RegionArtifact` for ``graph``, cached per tier.
 
     Parameters
@@ -2193,6 +2196,12 @@ def artifact_for(graph: SAMGraph, tier: Optional[str] = None) -> RegionArtifact:
     tier:
         ``"token"`` or ``"columnar"``; ``None`` reads
         :func:`codegen_tier` (the ``FUSEFLOW_CODEGEN_TIER`` selector).
+    disk_cache:
+        A :class:`~repro.driver.diskcache.DiskCache` to load kernels'
+        code objects from and store them to.  It is remembered for
+        ``graph``, so later calls without one (the tiers adaptive
+        dispatch emits at run time) use it as well; ``None`` keeps the
+        remembered one, if any.
 
     Returns
     -------
@@ -2209,30 +2218,34 @@ def artifact_for(graph: SAMGraph, tier: Optional[str] = None) -> RegionArtifact:
     order = graph.topological_order()
     with _CACHE_LOCK:
         _drain_pending_releases_locked()
-        cached = _GRAPH_ARTIFACTS.get(graph)
-        if cached is not None and cached[0] is order:
-            incumbent = cached[1].get(tier)
+        slot = _GRAPH_ARTIFACTS.get(graph)
+        if slot is not None:
+            if disk_cache is None:
+                disk_cache = slot.disk_cache
+            else:
+                slot.disk_cache = disk_cache
+            incumbent = slot.tiers.get(tier) if slot.order is order else None
             if incumbent is not None:
                 _COUNTERS["artifact_hits"] += 1
                 return incumbent
         _COUNTERS["artifact_misses"] += 1
-    artifact = _compile_artifact(graph, order, tier)
+    artifact = _compile_artifact(graph, order, tier, disk_cache)
     with _CACHE_LOCK:
-        cached = _GRAPH_ARTIFACTS.get(graph)
-        if cached is None or cached[0] is not order:
-            if cached is not None:
+        slot = _GRAPH_ARTIFACTS.get(graph)
+        if slot is None or slot.order is not order:
+            if slot is not None:
                 # Structural mutation: the old tiers' sources no longer
                 # correspond to this graph — drop their linecache pins.
-                for sha, finalizer in cached[2]:
+                for sha, finalizer in slot.retentions:
                     if finalizer.detach():
                         _release_sha_locked(sha)
-            cached = (order, {}, [])
-            _GRAPH_ARTIFACTS[graph] = cached
-        incumbent = cached[1].get(tier)
+            slot = _GraphSlot(order, {}, [], disk_cache)
+            _GRAPH_ARTIFACTS[graph] = slot
+        incumbent = slot.tiers.get(tier)
         if incumbent is not None:
             return incumbent
-        cached[1][tier] = artifact
-        _retain_sha_locked(graph, artifact.sha, cached[2])
+        slot.tiers[tier] = artifact
+        _retain_sha_locked(graph, artifact.sha, slot.retentions)
     return artifact
 
 
@@ -2351,10 +2364,9 @@ class CodegenBackend(Backend):
 
     def describe(self) -> str:
         """One-line human-readable description."""
-        numba = "numba available" if numba_available() else "no numba"
         return (
             "codegen: per-region specialized Python kernels "
-            f"({codegen_tier()} emission tier, compile()/exec, {numba}; "
+            f"({codegen_tier()} emission tier, compile()/exec; "
             "unsupported nodes bridge to the token tier, unsupported "
             "regions fall back to the columnar interpreter)"
         )

@@ -345,7 +345,9 @@ def cmd_simulate(args) -> int:
                 f"artifact cache: {info['artifact_hits']} hit(s), "
                 f"{info['artifact_misses']} miss(es); source cache: "
                 f"{info['code_hits']} hit(s), {info['code_misses']} "
-                f"miss(es); {info['fallbacks']} region fallback(s); "
+                f"miss(es); code on disk: {info['code_disk_hits']} hit(s), "
+                f"{info['code_disk_misses']} miss(es); "
+                f"{info['fallbacks']} region fallback(s); "
                 f"{info['token_dispatches']} adaptive token dispatch(es)"
             )
     return 0

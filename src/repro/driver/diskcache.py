@@ -20,10 +20,14 @@ Safety properties, in decreasing order of importance:
   magic header and a sha256 digest of its payload; a truncated, corrupted,
   or foreign file fails validation, is deleted, and reads as a miss — the
   caller just recompiles and rewrites it.
-* **Bounded.**  ``max_entries``/``max_bytes`` caps are enforced after every
-  write by evicting the least-recently-used entries (recency = file mtime,
-  refreshed on every hit), so a long-lived serve fleet cannot grow the
-  directory without bound.
+* **Bounded.**  ``max_entries``/``max_bytes`` caps are checked after every
+  write and enforced by evicting the least-recently-used entries (recency
+  = file mtime, refreshed on every hit), so a long-lived serve fleet
+  cannot grow the directory without bound.  Seeing the directory means
+  stat-ing every entry, so a writer counts its own writes from its last
+  scan and rescans only when that count passes a cap or every
+  :data:`RESCAN_WRITES` writes (which bounds how far other processes'
+  entries can push the directory past the caps unseen).
 * **Self-disabling when the disk is sick.**  Repeated consecutive ``put``
   failures (ENOSPC, a read-only directory, a vanished mount) trip a
   breaker: the disk level disables itself for the rest of the session —
@@ -40,25 +44,53 @@ feeds the breaker), which is how the breaker semantics are tested.
 Entries are versioned: :data:`ENTRY_MAGIC` changes whenever the serialized
 form does, so caches written by an incompatible build read as misses
 instead of unpickling garbage.
+
+The same directory holds a second kind of entry: **code entries**
+(:meth:`DiskCache.get_code` / :meth:`DiskCache.put_code`), the marshalled
+code objects the codegen backend compiles from its emitted kernel
+sources.  They share every property above — envelope, digest, atomic
+write, corrupt-means-miss, the LRU caps, the breaker and the fault
+sites — and differ only in their key (:func:`code_key`: ``code-``
+followed by the sha256 of the source's sha256 and the interpreter's
+bytecode magic), their envelope magic (:data:`CODE_MAGIC`) and their
+payload (the bytecode magic, then :func:`marshal.dumps` of the code).
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import marshal
 import os
 import pickle
 import tempfile
 import threading
+import types
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..reliability import InjectedFault, fault_point
 
-__all__ = ["DiskCache", "DiskCacheInfo", "ENTRY_MAGIC", "entry_key"]
+__all__ = [
+    "CODE_MAGIC",
+    "DiskCache",
+    "DiskCacheInfo",
+    "ENTRY_MAGIC",
+    "RESCAN_WRITES",
+    "code_key",
+    "entry_key",
+]
 
 #: File magic + on-disk format version.  Bump when the entry layout or the
 #: pickled object graph changes incompatibly.
 ENTRY_MAGIC = b"FFDC0001"
+
+#: Envelope magic of a code entry (a marshalled code object).
+CODE_MAGIC = b"FFDK0001"
+
+#: A writer rescans the cache directory at least once per this many of its
+#: own writes (see :meth:`DiskCache._evict`).
+RESCAN_WRITES = 32
 
 _DIGEST_BYTES = 32  # sha256
 _SUFFIX = ".ffc"
@@ -76,6 +108,39 @@ def entry_key(*parts: str) -> str:
         textual rendering, so the key depends only on content.
     """
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+
+
+def code_key(source_sha: str) -> str:
+    """The disk key of the code object compiled from one emitted source.
+
+    Parameters
+    ----------
+    source_sha:
+        SHA-256 hex digest of the emitted kernel source.  The
+        interpreter's bytecode magic (:data:`importlib.util.MAGIC_NUMBER`)
+        is hashed in with it, so interpreters whose bytecode differs
+        never share an entry.
+    """
+    return "code-" + entry_key(source_sha, importlib.util.MAGIC_NUMBER.hex())
+
+
+def _unpickle_entry(payload: bytes) -> Optional[Dict[str, Any]]:
+    try:
+        entry = pickle.loads(payload)
+    except Exception:
+        return None
+    return entry if isinstance(entry, dict) else None
+
+
+def _unmarshal_code(payload: bytes) -> Optional[types.CodeType]:
+    magic = importlib.util.MAGIC_NUMBER
+    if not payload.startswith(magic):
+        return None  # written by an interpreter with other bytecode
+    try:
+        code = marshal.loads(payload[len(magic) :])
+    except (EOFError, ValueError, TypeError):
+        return None
+    return code if isinstance(code, types.CodeType) else None
 
 
 @dataclass(frozen=True)
@@ -105,7 +170,12 @@ class DiskCacheInfo:
 
 
 class DiskCache:
-    """Content-addressed on-disk cache of compiled programs.
+    """Content-addressed on-disk cache of compiled programs and kernels.
+
+    Program entries (:meth:`get`/:meth:`put`) hold pickled compiled
+    programs; code entries (:meth:`get_code`/:meth:`put_code`) hold the
+    codegen backend's marshalled kernel code objects.  Both kinds share
+    the directory, the caps, the counters and the breaker.
 
     Parameters
     ----------
@@ -157,6 +227,10 @@ class DiskCache:
         self._put_failures = 0
         self._consecutive_put_failures = 0
         self._disabled_reason: Optional[str] = None
+        # [entries, bytes] as of the last directory scan plus this
+        # instance's writes since; None until the first scan.
+        self._occupancy: Optional[List[int]] = None
+        self._writes_since_scan = 0
 
     @property
     def disabled_reason(self) -> Optional[str]:
@@ -187,6 +261,29 @@ class DiskCache:
             The mapping passed to :meth:`put` (conventionally
             ``{"compiled": ..., "diagnostics": ..., "meta": ...}``).
         """
+        return self._read(key, ENTRY_MAGIC, _unpickle_entry)
+
+    def get_code(self, source_sha: str) -> Optional[types.CodeType]:
+        """Load the code object compiled from the source ``source_sha``.
+
+        Parameters
+        ----------
+        source_sha:
+            SHA-256 hex digest of the emitted kernel source (see
+            :func:`code_key`).
+
+        Returns
+        -------
+        code or None
+            The code object :meth:`put_code` stored, or ``None`` on a
+            miss.  An entry that is torn, fails its digest, or was
+            written by an interpreter with other bytecode is deleted and
+            reads as a miss, exactly like a corrupt :meth:`get` entry.
+        """
+        return self._read(code_key(source_sha), CODE_MAGIC, _unmarshal_code)
+
+    def _read(self, key: str, magic: bytes, decode: Callable[[bytes], Any]):
+        """Validate and decode the entry under ``key`` (``None``: a miss)."""
         if self.disabled_reason is not None:
             with self._lock:
                 self._misses += 1
@@ -205,8 +302,9 @@ class DiskCache:
             with self._lock:
                 self._misses += 1
             return None
-        entry = self._decode(blob)
-        if entry is None:
+        payload = self._unwrap(blob, magic)
+        value = decode(payload) if payload is not None else None
+        if value is None:
             # Torn write or foreign file: drop it so the next writer
             # replaces it with a whole entry.
             self._remove(path)
@@ -222,21 +320,18 @@ class DiskCache:
             pass
         with self._lock:
             self._hits += 1
-        return entry
+        return value
 
-    def _decode(self, blob: bytes) -> Optional[Dict[str, Any]]:
-        header = len(ENTRY_MAGIC) + _DIGEST_BYTES
-        if len(blob) < header or not blob.startswith(ENTRY_MAGIC):
+    @staticmethod
+    def _unwrap(blob: bytes, magic: bytes) -> Optional[bytes]:
+        """The payload of a whole entry with ``magic``, else ``None``."""
+        header = len(magic) + _DIGEST_BYTES
+        if len(blob) < header or not blob.startswith(magic):
             return None
-        digest = blob[len(ENTRY_MAGIC) : header]
         payload = blob[header:]
-        if hashlib.sha256(payload).digest() != digest:
+        if hashlib.sha256(payload).digest() != blob[len(magic) : header]:
             return None
-        try:
-            entry = pickle.loads(payload)
-        except Exception:
-            return None
-        return entry if isinstance(entry, dict) else None
+        return payload
 
     # ------------------------------------------------------------------
     # Write
@@ -263,7 +358,31 @@ class DiskCache:
             payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             return False
-        blob = ENTRY_MAGIC + hashlib.sha256(payload).digest() + payload
+        return self._write(key, ENTRY_MAGIC, payload)
+
+    def put_code(self, source_sha: str, code: types.CodeType) -> bool:
+        """Store the code object compiled from ``source_sha``; returns success.
+
+        Parameters
+        ----------
+        source_sha:
+            SHA-256 hex digest of the emitted source ``code`` came from.
+        code:
+            The code object; stored as the interpreter's bytecode magic
+            followed by :func:`marshal.dumps` of it.  The write path and
+            its failure handling are :meth:`put`'s.
+        """
+        if self.disabled_reason is not None:
+            return False
+        try:
+            payload = importlib.util.MAGIC_NUMBER + marshal.dumps(code)
+        except ValueError:
+            return False
+        return self._write(code_key(source_sha), CODE_MAGIC, payload)
+
+    def _write(self, key: str, magic: bytes, payload: bytes) -> bool:
+        """Atomically write one entry, then evict past the caps."""
+        blob = magic + hashlib.sha256(payload).digest() + payload
         path = self.path_for(key)
         try:
             fault_point("diskcache.put", key=key)
@@ -285,7 +404,7 @@ class DiskCache:
         with self._lock:
             self._writes += 1
             self._consecutive_put_failures = 0
-        self._evict()
+        self._evict(len(blob))
         return True
 
     def _note_put_failure(self, exc: BaseException) -> None:
@@ -325,8 +444,27 @@ class DiskCache:
         out.sort()
         return out
 
-    def _evict(self) -> None:
-        """Drop least-recently-used entries past the size/count caps."""
+    def _evict(self, written: int) -> None:
+        """Drop least-recently-used entries past the size/count caps.
+
+        ``written`` is the size of the entry just written.  The scan
+        stats every entry file, so it runs only when the running
+        occupancy passes a cap or :data:`RESCAN_WRITES` writes have
+        passed since the last one (entries other processes wrote are
+        seen only by a scan).
+        """
+        with self._lock:
+            occupancy = self._occupancy
+            if occupancy is not None:
+                occupancy[0] += 1
+                occupancy[1] += written
+                self._writes_since_scan += 1
+                if (
+                    occupancy[0] <= self.max_entries
+                    and occupancy[1] <= self.max_bytes
+                    and self._writes_since_scan < RESCAN_WRITES
+                ):
+                    return
         entries = self._entries()
         total = sum(size for _, size, _ in entries)
         evicted = 0
@@ -337,9 +475,10 @@ class DiskCache:
             if self._remove(path):
                 evicted += 1
             total -= size
-        if evicted:
-            with self._lock:
-                self._evictions += evicted
+        with self._lock:
+            self._evictions += evicted
+            self._occupancy = [len(entries), total]
+            self._writes_since_scan = 0
 
     @staticmethod
     def _remove(path: str) -> bool:
@@ -374,6 +513,8 @@ class DiskCache:
         for _, _, path in self._entries():
             if self._remove(path):
                 removed += 1
+        with self._lock:
+            self._occupancy = None
         return removed
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

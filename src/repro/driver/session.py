@@ -345,13 +345,17 @@ class Session:
             backend=key[3],
         )
 
-    @staticmethod
-    def _prewarm_codegen(compiled: CompiledProgram, diagnostics) -> None:
-        """Emit + compile every region kernel now, recording per-region cost.
+    def _prewarm_codegen(self, compiled: CompiledProgram, diagnostics) -> None:
+        """Emit and load every region kernel now, recording per-region cost.
 
         Codegen cost thereby lands in compile diagnostics (where it is
         observable via ``--profile``) instead of silently inflating the
-        first execution.
+        first execution.  The session's disk cache, when it has one, is
+        handed to :func:`~repro.backend.codegen.artifact_for`, which
+        remembers it per region graph: every kernel of the program —
+        these and the tiers adaptive dispatch emits at first run — then
+        loads its code object from disk, and only a disk miss pays
+        ``compile()`` (and writes the code back).
         """
         from ..backend.codegen import artifact_for
 
@@ -359,7 +363,7 @@ class Session:
         for region in compiled.regions:
             if region.graph is None:
                 continue
-            artifact = artifact_for(region.graph)
+            artifact = artifact_for(region.graph, disk_cache=self.disk_cache)
             if artifact.fn is None and artifact.tier == "columnar":
                 # Mirror the run-time tier chain: a region the columnar
                 # emitter cannot cover retries on the token tier before

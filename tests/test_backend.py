@@ -11,8 +11,7 @@ Covers the :mod:`repro.backend` contract end to end:
 * codegen artifact/source caching and its counters;
 * per-region fallback to the columnar interpreter for primitives the
   emitter does not know;
-* generated-kernel exceptions re-raised with node id + region context;
-* numba gating (optional, never required).
+* generated-kernel exceptions re-raised with node id + region context.
 """
 
 import numpy as np
@@ -26,7 +25,7 @@ from repro.backend import (
     get_backend,
     resolve_backend_name,
 )
-from repro.backend.codegen import clear_codegen_caches, numba_available
+from repro.backend.codegen import clear_codegen_caches
 from repro.comal.functional import run_functional
 from repro.comal.machines import RDA_MACHINE
 from repro.core.einsum.parser import parse_program
@@ -557,19 +556,3 @@ class TestDocstrings:
                     f"{name}: numpydoc Parameters section missing"
                 )
 
-
-# ----------------------------------------------------------------------
-# Numba gating
-# ----------------------------------------------------------------------
-
-
-class TestNumba:
-    def test_numba_availability_is_boolean(self):
-        assert isinstance(numba_available(), bool)
-
-    def test_numba_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("FUSEFLOW_CODEGEN_NUMBA", raising=False)
-        clear_codegen_caches()
-        program, _ = _program_and_binding()
-        exe = Session(machine=RDA_MACHINE, backend="codegen").compile(program)
-        assert artifact_for(exe.regions[0].graph).uses_numba is False

@@ -5,19 +5,41 @@ writer *processes*, torn/corrupt entries degrading to misses, LRU
 eviction order — plus the two cache levels composed: cross-session and
 cross-process warm starts that skip the pass pipeline entirely, and the
 Session compile cache hammered from many threads (the serve front end's
-access pattern).
+access pattern).  Code entries (the codegen backend's marshalled kernels)
+obey the same contract, and a fresh process over a warm directory runs
+every golden model under codegen without one ``compile()`` call.
 """
 
+import hashlib
+import importlib.util
+import linecache
 import multiprocessing
 import os
+import sys
 import threading
+import traceback
 
 import numpy as np
 import pytest
 
+from repro.backend.codegen import (
+    artifact_for,
+    clear_codegen_caches,
+    codegen_cache_info,
+)
+from repro.comal.functional import run_functional
 from repro.driver import DiskCache, Session
-from repro.driver.diskcache import ENTRY_MAGIC, entry_key
+from repro.driver.diskcache import (
+    CODE_MAGIC,
+    ENTRY_MAGIC,
+    RESCAN_WRITES,
+    code_key,
+    entry_key,
+)
 from repro.models.gcn import gcn_on_synthetic
+from repro.sam.graph import SAMGraph
+from repro.sam.primitives.scanner import LevelScanner, Root
+from repro.sweep import SweepPoint, build_bundle
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +161,29 @@ class TestDiskCache:
         info = cache.info()
         assert info.total_bytes <= 2048
         assert info.evictions > 0
+
+    def test_writes_scan_the_directory_only_now_and_then(
+        self, tmp_path, monkeypatch
+    ):
+        cache = DiskCache(str(tmp_path))
+        scans = []
+        real = cache._entries
+        monkeypatch.setattr(cache, "_entries", lambda: scans.append(1) or real())
+        for i in range(2 * RESCAN_WRITES + 1):
+            cache.put(entry_key(str(i)), {"i": i})
+        # The first write, then one rescan per RESCAN_WRITES writes.
+        assert len(scans) == 3
+
+    def test_rescan_counts_other_writers_entries(self, tmp_path):
+        root = str(tmp_path)
+        capped = DiskCache(root, max_entries=8)
+        capped.put(entry_key("first"), {"v": 0})
+        other = DiskCache(root)  # another process, under looser caps
+        for i in range(20):
+            other.put(entry_key("other", str(i)), {"v": i})
+        for i in range(RESCAN_WRITES):
+            capped.put(entry_key("mine", str(i)), {"v": i})
+        assert capped.info().entries <= 8
 
     def test_clear_removes_everything(self, tmp_path):
         cache = DiskCache(str(tmp_path))
@@ -334,3 +379,306 @@ class TestSessionThreadSafety:
         info = session.cache_info()
         assert info.hits + info.misses == n_threads * iters
         assert info.entries == len(schedules)
+
+
+# ----------------------------------------------------------------------
+# Code entries: the codegen backend's kernels on disk
+# ----------------------------------------------------------------------
+
+
+def _code(text: str):
+    return compile(text, "<test-code>", "exec")
+
+
+def _code_files(root: str):
+    return sorted(n for n in os.listdir(root) if n.startswith("code-"))
+
+
+def _truncate(blob: bytes) -> bytes:
+    return blob[: len(blob) // 2]
+
+
+def _flip(blob: bytes) -> bytes:
+    flipped = bytearray(blob)
+    flipped[-1] ^= 0xFF
+    return bytes(flipped)
+
+
+def _foreign_bytecode(blob: bytes) -> bytes:
+    # A whole, digest-valid entry written by an interpreter whose
+    # bytecode magic differs from this one's.
+    header = len(CODE_MAGIC) + 32
+    magic = importlib.util.MAGIC_NUMBER
+    payload = bytes([magic[0] ^ 0xFF]) + blob[header + 1 :]
+    return CODE_MAGIC + hashlib.sha256(payload).digest() + payload
+
+
+def _run_dense(session, bundle):
+    exe, source = session.compile_detailed(
+        bundle.program, bundle.schedule("partial")
+    )
+    result = exe(bundle.binding)
+    dense = {name: t.to_dense() for name, t in result.tensors.items()}
+    return source, result.metrics.cycles, dense
+
+
+class TestCodeEntries:
+    def test_code_roundtrip(self, tmp_path):
+        cache = DiskCache(str(tmp_path))
+        code = _code("y = 6 * 7")
+        assert cache.put_code("s1", code)
+        loaded = cache.get_code("s1")
+        namespace = {}
+        exec(loaded, namespace)
+        assert namespace["y"] == 42
+        assert cache.get_code("s2") is None
+        info = cache.info()
+        assert (info.writes, info.hits, info.misses, info.entries) == (1, 1, 1, 1)
+        assert os.path.exists(cache.path_for(code_key("s1")))
+
+    def test_code_key_carries_the_bytecode_magic(self):
+        assert code_key("s1") == code_key("s1")
+        assert code_key("s1") != code_key("s2")
+        assert code_key("s1") == "code-" + entry_key(
+            "s1", importlib.util.MAGIC_NUMBER.hex()
+        )
+
+    def test_code_and_program_entries_share_the_entry_cap(self, tmp_path):
+        cache = DiskCache(str(tmp_path), max_entries=2)
+        program_key = entry_key("a")
+        cache.put(program_key, {"v": "a"})
+        cache.put_code("s1", _code("x = 1"))
+        os.utime(cache.path_for(program_key), (1000, 1000))
+        os.utime(cache.path_for(code_key("s1")), (2000, 2000))
+        cache.put_code("s2", _code("x = 2"))
+        assert cache.get(program_key) is None  # the LRU entry, evicted
+        assert cache.get_code("s1") is not None
+        assert cache.get_code("s2") is not None
+        info = cache.info()
+        assert (info.entries, info.evictions) == (2, 1)
+
+    def test_code_entries_count_toward_the_byte_cap(self, tmp_path):
+        cache = DiskCache(str(tmp_path), max_bytes=2048)
+        for i in range(8):
+            cache.put_code(str(i), _code(f"x = '{'x' * 512}{i}'"))
+        info = cache.info()
+        assert 0 < info.total_bytes <= 2048
+        assert info.evictions > 0
+
+    def test_clear_and_info_count_code_entries(self, tmp_path):
+        cache = DiskCache(str(tmp_path))
+        cache.put(entry_key("p"), {"v": 1})
+        cache.put_code("s1", _code("x = 1"))
+        cache.put_code("s2", _code("x = 2"))
+        assert cache.info().entries == 3
+        assert cache.clear() == 3
+        assert os.listdir(str(tmp_path)) == []
+
+    def test_program_reader_never_decodes_a_code_entry(self, tmp_path):
+        cache = DiskCache(str(tmp_path))
+        cache.put_code("s1", _code("x = 1"))
+        # Same envelope, other magic: a program read of it is corrupt.
+        assert cache.get(code_key("s1")) is None
+        assert cache.info().corrupt == 1
+
+    def test_construction_does_no_new_filesystem_work(
+        self, tmp_path, monkeypatch
+    ):
+        root = str(tmp_path / "cache")
+        made = []
+        real_makedirs = os.makedirs
+
+        def spy(path, *args, **kwargs):
+            made.append(path)
+            return real_makedirs(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "makedirs", spy)
+        Session(backend="codegen", disk_cache=root)
+        DiskCache(root)
+        # The cache directory itself and nothing else: the code store
+        # needs no subdirectory, created eagerly or otherwise.
+        assert made == [root, root]
+        assert os.listdir(root) == []
+
+    @pytest.mark.parametrize(
+        "damage", [_truncate, _flip, _foreign_bytecode], ids=lambda f: f.__name__
+    )
+    def test_damaged_code_entry_recompiles_bit_exact(
+        self, bundle, tmp_path, damage
+    ):
+        cache_dir = str(tmp_path / "cache")
+        clear_codegen_caches()
+        _, cycles, dense = _run_dense(
+            Session(backend="codegen", disk_cache=cache_dir), bundle
+        )
+        names = _code_files(cache_dir)
+        assert names
+        for name in names:
+            path = os.path.join(cache_dir, name)
+            with open(path, "rb") as fh:
+                blob = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(damage(blob))
+
+        clear_codegen_caches()  # a fresh process, as far as codegen goes
+        session = Session(backend="codegen", disk_cache=cache_dir)
+        source, cycles2, dense2 = _run_dense(session, bundle)
+        assert source == "disk"
+        info = codegen_cache_info()
+        assert info["code_disk_hits"] == 0
+        assert info["code_misses"] == len(names)
+        assert session.disk_cache.info().corrupt == len(names)
+        assert cycles2 == cycles
+        for name, tensor in dense.items():
+            assert np.array_equal(tensor, dense2[name]), name
+        # The damaged entries were deleted and rewritten whole.
+        assert _code_files(cache_dir) == names
+        clear_codegen_caches()
+        _run_dense(Session(backend="codegen", disk_cache=cache_dir), bundle)
+        info = codegen_cache_info()
+        assert (info["code_disk_hits"], info["code_misses"]) == (len(names), 0)
+
+
+# ----------------------------------------------------------------------
+# Fresh processes under codegen: kernels load from disk, never compile
+# ----------------------------------------------------------------------
+
+#: The canonical golden configurations (tests/test_golden_traces.py).
+GOLDEN = {
+    "gcn": {"nodes": 30, "density": 0.1, "seed": 0},
+    "graphsage": {"nodes": 30, "density": 0.1, "seed": 0},
+    "sae": {"nodes": 16, "seed": 0},
+    "gpt3": {"seq_len": 16, "d_model": 8, "block": 4, "n_layers": 1, "seed": 0},
+}
+
+
+def _codegen_run_in_child(cache_dir: str, model: str, queue) -> None:
+    # A forked child inherits the parent's in-memory code cache; drop it
+    # so the child starts as cold as a new process.
+    clear_codegen_caches()
+    bundle = build_bundle(SweepPoint.make(model, model_args=GOLDEN[model]))
+    source, cycles, dense = _run_dense(
+        Session(backend="codegen", disk_cache=cache_dir), bundle
+    )
+    queue.put(
+        {
+            "source": source,
+            "cycles": cycles,
+            "dense": dense,
+            "info": codegen_cache_info(),
+        }
+    )
+
+
+def _in_forked_child(*args):
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    proc = ctx.Process(target=_codegen_run_in_child, args=(*args, queue))
+    proc.start()
+    reply = queue.get(timeout=300)
+    proc.join(timeout=120)
+    assert proc.exitcode == 0
+    return reply
+
+
+def _kernel_error_graph(name: str) -> SAMGraph:
+    graph = SAMGraph(name)
+    root = graph.add(Root(), node_id="root")
+    graph.add(
+        LevelScanner("A", 0), {"ref": graph.port(root, "ref")}, node_id="scan"
+    )
+    return graph
+
+
+class TestCodegenWarmStart:
+    @pytest.mark.parametrize("model", sorted(GOLDEN))
+    def test_fresh_process_runs_from_disk_without_compile(
+        self, model, tmp_path
+    ):
+        cache_dir = str(tmp_path / "cache")
+        warm = _in_forked_child(cache_dir, model)
+        assert warm["source"] == "compiled"
+        assert warm["info"]["code_misses"] > 0
+        fresh = _in_forked_child(cache_dir, model)
+        assert fresh["source"] == "disk"
+        assert fresh["info"]["code_misses"] == 0
+        assert fresh["info"]["code_disk_hits"] == warm["info"]["code_misses"]
+        assert fresh["cycles"] == warm["cycles"]
+        assert fresh["dense"].keys() == warm["dense"].keys()
+        for name, tensor in warm["dense"].items():
+            assert np.array_equal(tensor, fresh["dense"][name]), name
+
+    def test_threads_share_one_code_object_and_count_every_lookup(
+        self, tmp_path
+    ):
+        cache = DiskCache(str(tmp_path / "cache"))
+        clear_codegen_caches()
+        n_threads = 8
+        graphs = [_kernel_error_graph(f"race{i}") for i in range(n_threads)]
+        barrier = threading.Barrier(n_threads)
+        errors = []
+
+        def worker(graph):
+            barrier.wait()
+            try:
+                artifact_for(graph, "token", disk_cache=cache)
+            except Exception as exc:  # pragma: no cover - the regression
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(g,)) for g in graphs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        info = codegen_cache_info()
+        # Every lookup is one memory hit or one disk lookup, and every
+        # disk miss one compile(); the shared source keeps one code object
+        # and one linecache registration however the threads interleave.
+        lookups = (
+            info["code_hits"] + info["code_disk_hits"] + info["code_disk_misses"]
+        )
+        assert lookups == n_threads
+        assert info["code_misses"] == info["code_disk_misses"] >= 1
+        assert (info["code_entries"], info["code_files"]) == (1, 1)
+        assert len(_code_files(cache.root)) == 1
+
+    def test_disk_loaded_kernel_traceback_shows_source_lines(self, tmp_path):
+        cache = DiskCache(str(tmp_path / "cache"))
+        clear_codegen_caches()
+        first = _kernel_error_graph("kerr_first")
+        artifact_for(first, disk_cache=cache)
+        with pytest.raises(KeyError):
+            run_functional(first, {}, backend="codegen", cache=False)
+
+        clear_codegen_caches()  # drops the code and its linecache entry
+        # Same structure, other name: the same source, loaded from disk.
+        second = _kernel_error_graph("kerr_second")
+        artifact_for(second, disk_cache=cache)
+        with pytest.raises(KeyError) as excinfo:
+            run_functional(second, {}, backend="codegen", cache=False)
+        info = codegen_cache_info()
+        assert info["code_misses"] == 0 and info["code_disk_hits"] >= 1
+        frames = [
+            frame
+            for frame in traceback.extract_tb(
+                excinfo.value.__cause__.__traceback__
+            )
+            if frame.filename.startswith("<fuseflow-codegen")
+        ]
+        assert frames
+        for frame in frames:
+            # The filename the code object was compiled under, with the
+            # kernel's real source registered behind it.
+            assert "kerr_first" in frame.filename
+            assert frame.line
+            assert frame.line == linecache.getline(
+                frame.filename, frame.lineno
+            ).strip()
+

@@ -404,6 +404,93 @@ class TestDiskCacheBreaker:
             assert cache.get("k") is None
         assert cache.get("k") == {"v": 1}
 
+    def test_code_put_faults_feed_the_breaker(self, tmp_path):
+        cache = DiskCache(str(tmp_path / "c"), put_failure_limit=2)
+        code = compile("x = 1", "<test-code>", "exec")
+        with injected_faults("diskcache.put:raise@match=code-"):
+            assert cache.put_code("s1", code) is False
+            assert cache.put("k1", {"v": 1}) is True  # resets the streak
+            assert cache.put_code("s2", code) is False
+            assert cache.disabled_reason is None
+            assert cache.put_code("s3", code) is False
+        reason = cache.disabled_reason
+        assert reason is not None and "2 consecutive" in reason
+        assert "code-" in reason  # the failing write was a code entry
+        # Disabled for both kinds of entry.
+        assert cache.put("k2", {"v": 2}) is False
+        assert cache.get_code("s1") is None
+        assert cache.info().put_failures == 3
+
+
+# ----------------------------------------------------------------------
+# Code entries under faults: the codegen backend falls back to compile()
+# ----------------------------------------------------------------------
+
+
+class TestCodeEntryFaults:
+    @staticmethod
+    def _run(session, bundle):
+        exe, source = session.compile_detailed(
+            bundle.program, bundle.schedule("partial")
+        )
+        result = exe(bundle.binding)
+        dense = {name: t.to_dense() for name, t in result.tensors.items()}
+        return source, result.metrics.cycles, dense
+
+    def test_get_fault_on_code_entry_falls_back_to_compile(self, tmp_path):
+        import numpy as np
+
+        from repro.backend.codegen import (
+            clear_codegen_caches,
+            codegen_cache_info,
+        )
+        from repro.driver import Session
+        from repro.models.gcn import gcn_on_synthetic
+
+        bundle = gcn_on_synthetic(nodes=16, density=0.2, seed=0)
+        cache_dir = str(tmp_path / "c")
+        clear_codegen_caches()
+        _, cycles, dense = self._run(
+            Session(backend="codegen", disk_cache=cache_dir), bundle
+        )
+        compiled = codegen_cache_info()["code_misses"]
+        assert compiled > 0
+
+        clear_codegen_caches()
+        session = Session(backend="codegen", disk_cache=cache_dir)
+        with injected_faults("diskcache.get:raise@match=code-"):
+            source, cycles2, dense2 = self._run(session, bundle)
+        # The program entry still loads; every kernel read fails and
+        # recompiles instead.
+        assert source == "disk"
+        info = codegen_cache_info()
+        assert info["code_disk_hits"] == 0
+        assert info["code_disk_misses"] == compiled
+        assert info["code_misses"] == compiled
+        assert session.disk_cache.info().corrupt == 0
+        assert cycles2 == cycles
+        for name, tensor in dense.items():
+            assert np.array_equal(tensor, dense2[name]), name
+
+    def test_put_faults_on_code_entries_trip_the_breaker(self, tmp_path):
+        from repro.backend.codegen import clear_codegen_caches
+        from repro.driver import Session
+        from repro.models.gcn import gcn_on_synthetic
+
+        bundle = gcn_on_synthetic(nodes=16, density=0.2, seed=0)
+        cache = DiskCache(str(tmp_path / "c"), put_failure_limit=1)
+        clear_codegen_caches()
+        session = Session(backend="codegen", disk_cache=cache)
+        with injected_faults("diskcache.put:raise@match=code-"):
+            exe = session.compile(bundle.program, bundle.schedule("partial"))
+        # Kernels are written before the program entry: the first failed
+        # code write trips the breaker, which then refuses the program
+        # entry too.  Compilation itself is unaffected.
+        info = cache.info()
+        assert info.put_failures == 1 and info.writes == 0
+        assert "InjectedFault" in info.disabled_reason
+        assert bundle.max_abs_err(exe(bundle.binding)) < 1e-6
+
 
 # ----------------------------------------------------------------------
 # SingleFlight bounded waits
@@ -727,9 +814,9 @@ class TestCodegenCompileFaults:
         real = cg._compile_artifact
         calls = {"n": 0}
 
-        def flaky(graph, order, tier):
+        def flaky(graph, order, tier, *rest):
             calls["n"] += 1
-            artifact = real(graph, order, tier)
+            artifact = real(graph, order, tier, *rest)
             if calls["n"] == 1:
                 raise InjectedFault("codegen.emit", graph.name)
             return artifact
