@@ -27,6 +27,14 @@ The committed artifact's headline — and the CI gate — is the warm/cold
 ratio on the gpt3 serving hot path (the deepest model, fused schedule),
 which must stay >= 5x under the default backend and under codegen.
 
+The artifact also times HTTP round trips through ``fuseflow serve``: an
+in-process server on an ephemeral port, one keep-alive connection, and,
+after warm-up, interleaved ``GET /healthz`` and memo-hit ``POST
+/v1/simulate`` requests for the gcn golden point (median and quartiles).
+A response that reached the socket as a head and a separate body would
+wait ~40 ms for the client's delayed ACK on every round trip; CI gates
+the memo-hit simulate round trip below 10 ms.
+
 Run directly to (re)generate the committed artifact::
 
     PYTHONPATH=src python benchmarks/bench_serve.py --out BENCH_serve.json
@@ -39,13 +47,16 @@ or via pytest (asserts the acceptance floors)::
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import multiprocessing
 import os
+import statistics
 import sys
 import tempfile
+import threading
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -67,6 +78,16 @@ GRANULARITY = "partial"
 
 #: Backend axis: ``""`` is the session default (the columnar interpreter).
 BACKENDS = ("", "codegen")
+
+#: The point the HTTP round trips simulate: the gcn golden-trace point.
+ROUNDTRIP_POINT = {
+    "model": "gcn",
+    "model_args": {"nodes": 30, "density": 0.1, "seed": 0},
+    "schedule": GRANULARITY,
+}
+
+#: Round trips per path in each repeat of the HTTP measurement.
+ROUNDTRIPS = 30
 
 
 def _compile_once(
@@ -207,6 +228,60 @@ def _measure_row(
     }
 
 
+def _quartiles(samples: List[float]) -> Dict[str, float]:
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {
+        "median_ms": round(median, 4),
+        "q1_ms": round(q1, 4),
+        "q3_ms": round(q3, 4),
+        "samples": len(samples),
+    }
+
+
+def _http_roundtrips(repeats: int) -> Dict[str, Dict[str, float]]:
+    """Keep-alive round-trip wall ms for ``/healthz`` and a memo-hit simulate.
+
+    The server runs in this process on its own thread, so it must start
+    only after every forked compile child has been joined.
+    """
+    from repro.serve import make_server
+
+    server = make_server(port=0, quiet=True)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    conn = http.client.HTTPConnection(*server.server_address[:2], timeout=300)
+    simulate = json.dumps(ROUNDTRIP_POINT).encode("utf-8")
+
+    def roundtrip(method: str, path: str, body: Optional[bytes] = None):
+        started = time.perf_counter()
+        conn.request(method, path, body=body)
+        resp = conn.getresponse()
+        payload = json.loads(resp.read())
+        ms = (time.perf_counter() - started) * 1e3
+        assert resp.status == 200, (path, payload)
+        return ms, payload
+
+    samples: Dict[str, List[float]] = {"healthz": [], "memo_simulate": []}
+    try:
+        # Warm-up: the first simulate compiles and fills the functional
+        # memo; later ones are memory hits answered from the memo.
+        for _ in range(5):
+            _, payload = roundtrip("POST", "/v1/simulate", simulate)
+            assert payload["verified"], payload
+            roundtrip("GET", "/healthz")
+        for _ in range(repeats * ROUNDTRIPS):
+            samples["healthz"].append(roundtrip("GET", "/healthz")[0])
+            ms, payload = roundtrip("POST", "/v1/simulate", simulate)
+            assert payload["cache"] == "memory" and payload["verified"]
+            samples["memo_simulate"].append(ms)
+    finally:
+        conn.close()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=30)
+    return {name: _quartiles(values) for name, values in samples.items()}
+
+
 def run_benchmark(repeats: int = 5) -> Dict[str, object]:
     rows = [
         _measure_row(model, model_args, backend, repeats)
@@ -214,11 +289,14 @@ def run_benchmark(repeats: int = 5) -> Dict[str, object]:
         for model, model_args in MODELS.items()
     ]
     gpt3 = {r["backend"]: r for r in rows if r["model"] == "gpt3"}
+    roundtrips = _http_roundtrips(repeats)
     return {
         "name": "serve_disk_cache",
         "granularity": GRANULARITY,
         "repeats": repeats,
         "rows": rows,
+        "roundtrip_point": ROUNDTRIP_POINT,
+        "roundtrips": roundtrips,
         "headline": {
             # The CI gates: a cold process over a warm cache directory
             # must answer the gpt3 hot-path compile >= 5x faster than the
@@ -230,6 +308,12 @@ def run_benchmark(repeats: int = 5) -> Dict[str, object]:
             "gpt3_codegen_cold_miss_ms": gpt3["codegen"]["cold_miss_ms"],
             "gpt3_codegen_warm_disk_ms": gpt3["codegen"]["warm_disk_ms"],
             "gpt3_codegen_disk_speedup": gpt3["codegen"]["disk_speedup"],
+            # Median keep-alive round trips; the CI gate holds the
+            # memo-hit simulate under 10 ms (a delayed-ACK stall is ~40).
+            "healthz_roundtrip_ms": roundtrips["healthz"]["median_ms"],
+            "memo_simulate_roundtrip_ms": (
+                roundtrips["memo_simulate"]["median_ms"]
+            ),
         },
     }
 
@@ -252,6 +336,12 @@ def render(payload: Dict[str, object]) -> str:
             f"{head[prefix + '_warm_disk_ms']:.3f} ms vs uncached miss "
             f"{head[prefix + '_cold_miss_ms']:.3f} ms = "
             f"{head[prefix + '_disk_speedup']:.2f}x"
+        )
+    for name, stats in payload["roundtrips"].items():
+        lines.append(
+            f"{name} keep-alive round trip: median {stats['median_ms']:.3f} ms "
+            f"(quartiles {stats['q1_ms']:.3f}-{stats['q3_ms']:.3f}, "
+            f"n={stats['samples']})"
         )
     return "\n".join(lines)
 
@@ -277,6 +367,12 @@ def test_codegen_warm_disk_speedup_floor(payload):
     """Acceptance: the same floor under codegen (kernels load from disk)."""
     head = payload["headline"]
     assert head["gpt3_codegen_disk_speedup"] >= 5.0, render(payload)
+
+
+def test_memo_simulate_roundtrip_floor(payload):
+    """Acceptance: a memo-hit simulate round trip stays under 10 ms."""
+    head = payload["headline"]
+    assert head["memo_simulate_roundtrip_ms"] < 10.0, render(payload)
 
 
 def test_warm_loads_actually_come_from_disk(payload):

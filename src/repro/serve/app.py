@@ -8,7 +8,8 @@ the handler threads share:
   — so a serve process restarted over a warm cache directory answers its
   first compile with a read-and-unpickle;
 * a model-bundle cache (tracing a model once per process, like sweep
-  workers);
+  workers), an LRU of :data:`BUNDLE_CACHE_SIZE` bundles so a stream of
+  fresh data seeds cannot grow it without bound;
 * a :class:`~repro.serve.dedup.SingleFlight` collapsing identical
   in-flight requests onto one execution.
 
@@ -21,7 +22,14 @@ Endpoints::
 
 Every POST response carries ``X-Fuseflow-Cache`` (``memory`` / ``disk`` /
 ``compiled``), ``X-Fuseflow-Deduped`` (this request rode an in-flight
-identical one), and ``X-Fuseflow-Compile-Ms``.
+identical one), and ``X-Fuseflow-Compile-Ms`` (wall time of the compile
+step alone; the payload's ``elapsed_ms`` is the whole request).
+
+Transport: connections are HTTP/1.1 keep-alive with ``TCP_NODELAY``, and
+each response leaves in one write (status line, headers and body
+together).  A head and body written separately would put the body behind
+Nagle's algorithm until the client's delayed ACK of the head, about
+40 ms per round trip.
 
 Overload and failure behavior (see ``docs/reliability.md``):
 
@@ -44,6 +52,7 @@ import json
 import os
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
@@ -62,6 +71,14 @@ from .protocol import ServeError, ServeRequest, parse_request
 __all__ = ["ServerState", "FuseFlowServer", "make_server"]
 
 _POST_ACTIONS = {"/v1/compile": "compile", "/v1/simulate": "simulate"}
+
+#: Model bundles a server keeps, least recently used evicted first.  Every
+#: fresh data seed is a new bundle (~47 KB for a golden point), so an
+#: unbounded cache grows for the life of the process.  A repeat request
+#: usually targets a point asked for a few dozen requests earlier, well
+#: inside this window.  Eviction cannot serve a stale result: the
+#: functional memo keys on tensor identity but pins the tensors it keys on.
+BUNDLE_CACHE_SIZE = 64
 
 
 class ServerState:
@@ -101,7 +118,9 @@ class ServerState:
         self.flight = SingleFlight()
         self._lock = threading.Lock()
         self._sessions: Dict[Tuple[str, str, str], Session] = {}
-        self._bundles: Dict[Tuple[str, str, tuple], Any] = {}
+        self._bundles: "OrderedDict[Tuple[str, str, tuple], Any]" = (
+            OrderedDict()
+        )
         self._requests = 0
         self._compiles = 0
         self._errors = 0
@@ -185,17 +204,22 @@ class ServerState:
             return session
 
     def bundle_for(self, point):
-        """The cached model bundle for a point (traced once per process)."""
+        """The cached model bundle for a point (traced once while cached)."""
         key = (point.model, point.dataset, tuple(point.model_args))
         with self._lock:
             bundle = self._bundles.get(key)
-        if bundle is not None:
-            return bundle
+            if bundle is not None:
+                self._bundles.move_to_end(key)
+                return bundle
         bundle = build_bundle(point)
         with self._lock:
             # Another thread may have traced the same model meanwhile;
             # keep the incumbent so callers share one bundle.
-            return self._bundles.setdefault(key, bundle)
+            bundle = self._bundles.setdefault(key, bundle)
+            self._bundles.move_to_end(key)
+            while len(self._bundles) > BUNDLE_CACHE_SIZE:
+                self._bundles.popitem(last=False)
+            return bundle
 
     # ------------------------------------------------------------------
     # Request execution
@@ -254,7 +278,9 @@ class ServerState:
                 if request.schedule == "unfused"
                 else fully_fused(program)
             )
+        compile_started = time.perf_counter()
         executable, source = session.compile_detailed(program, schedule)
+        compile_ms = (time.perf_counter() - compile_started) * 1000.0
         if source == "compiled":
             with self._lock:
                 self._compiles += 1
@@ -286,11 +312,10 @@ class ServerState:
             }
             payload["max_abs_err"] = max_abs_err
             payload["verified"] = bool(max_abs_err < VERIFY_TOLERANCE)
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        payload["elapsed_ms"] = elapsed_ms
+        payload["elapsed_ms"] = (time.perf_counter() - started) * 1000.0
         headers = {
             "X-Fuseflow-Cache": source,
-            "X-Fuseflow-Compile-Ms": f"{elapsed_ms:.2f}",
+            "X-Fuseflow-Compile-Ms": f"{compile_ms:.2f}",
         }
         return {"payload": payload, "headers": headers}
 
@@ -332,6 +357,9 @@ class ServerState:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "fuseflow-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every connection, so no reply (``send_error``'s
+    # included) waits behind Nagle's algorithm for an ACK.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -357,6 +385,23 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(404, {"error": f"unknown path {self.path!r}"})
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
+        # Read the body before any reply: a refused request must not leave
+        # its body on a keep-alive connection to be parsed as the next
+        # request line.
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's end is unknown: answer, then close the connection
+            # rather than read to EOF or misparse what follows.
+            self._send(
+                400,
+                {"error": "Content-Length must be a non-negative integer"},
+                {"Connection": "close"},
+            )
+            return
+        raw = self.rfile.read(length)
         action = _POST_ACTIONS.get(self.path)
         if action is None:
             self._send(
@@ -378,8 +423,6 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length)
             try:
                 request = parse_request(raw, action)
             except ServeError as exc:
@@ -415,8 +458,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # One write for the whole response.  end_headers() would flush the
+        # head on its own and leave the body to a second small write.
+        if self.request_version == "HTTP/0.9":  # a 0.9 reply has no head
+            self.wfile.write(body)
+        else:
+            self._headers_buffer.extend((b"\r\n", body))
+            self.flush_headers()
 
 
 class FuseFlowServer(ThreadingHTTPServer):

@@ -3,17 +3,26 @@
 The server under test binds an ephemeral localhost port with real threads
 and real HTTP (stdlib urllib client), because the bugs this layer exists
 to prevent — duplicated concurrent compiles, torn shared state — only
-show up under genuine concurrency.
+show up under genuine concurrency.  The transport tests use one
+keep-alive ``http.client`` connection instead: urllib closes the
+connection after each request, which hides per-round-trip stalls.
 """
 
+import http.client
 import json
+import socket
+import socketserver
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.serve import SingleFlight, ServeError, make_server, parse_request
+from repro.serve.app import BUNDLE_CACHE_SIZE, ServerState
+from repro.sweep import SweepPoint
 
 MM_PROGRAM = """
 tensor A(8, 8): csr
@@ -211,6 +220,11 @@ class TestServer:
         assert payload["verified"] is True
         assert payload["max_abs_err"] < 1e-6
         assert payload["metrics"]["cycles"] > 0
+        # The header times the compile step alone; elapsed_ms also covers
+        # simulation and verification, which take far longer than the
+        # header's 0.01 ms rounding.
+        compile_ms = float(headers["X-Fuseflow-Compile-Ms"])
+        assert 0 < compile_ms < payload["elapsed_ms"] - 0.01
 
     def test_program_text_compile(self, server):
         status, _, payload = _post(
@@ -303,3 +317,124 @@ class TestServer:
         ):
             assert key in stats, key
         assert stats["disk_cache"]["writes"] >= 1
+
+
+# ----------------------------------------------------------------------
+# Transport: keep-alive round trips and response framing
+# ----------------------------------------------------------------------
+
+
+def _connection(server) -> http.client.HTTPConnection:
+    host, port = server.server_address[:2]
+    return http.client.HTTPConnection(host, port, timeout=60)
+
+
+def _roundtrip(conn, method: str, path: str, body: bytes = None):
+    """One request on ``conn``: (wall ms, status, Content-Length, body)."""
+    started = time.perf_counter()
+    conn.request(method, path, body=body)
+    resp = conn.getresponse()
+    data = resp.read()
+    ms = (time.perf_counter() - started) * 1000.0
+    return ms, resp.status, resp.getheader("Content-Length"), data
+
+
+class TestTransport:
+    # A response written as a head and a separate body waits for the
+    # client's delayed ACK (~40 ms) before the body leaves.
+    @pytest.mark.parametrize(
+        "method,path,body,status,bound_ms",
+        [
+            ("GET", "/healthz", None, 200, 10.0),
+            ("POST", "/v1/compile", b"not json", 400, 10.0),
+            # http.server's own send_error reply closes the connection, so
+            # each of these round trips also opens a connection and starts
+            # a handler thread, which alone spreads to ~9 ms on a loaded
+            # 2-vCPU machine; 20 ms still sits well under the stall.
+            ("PUT", "/v1/compile", None, 501, 20.0),
+        ],
+    )
+    def test_roundtrip_has_no_ack_stall(
+        self, server, method, path, body, status, bound_ms
+    ):
+        conn = _connection(server)
+        try:
+            samples = []
+            for _ in range(30):
+                ms, got, _, _ = _roundtrip(conn, method, path, body)
+                assert got == status
+                samples.append(ms)
+        finally:
+            conn.close()
+        assert statistics.median(samples) < bound_ms, sorted(samples)
+
+    @pytest.mark.parametrize("length", [b"abc", b"-1"])
+    def test_bad_content_length_is_400_and_closes(self, server, length):
+        with socket.create_connection(server.server_address[:2], 60) as sock:
+            sock.sendall(
+                b"POST /v1/compile HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: " + length + b"\r\n\r\n{}"
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in reply
+        assert b"non-negative integer" in reply
+
+    def test_mixed_replies_keep_framing_on_one_connection(
+        self, server, monkeypatch
+    ):
+        # Count the server's socket writes: each reply must leave whole in
+        # one write, and Content-Length must frame it exactly, or the next
+        # reply on the shared connection would be misparsed.
+        writes = []
+        write = socketserver._SocketWriter.write
+
+        def counting_write(self, data):
+            writes.append(len(data))
+            return write(self, data)
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write", counting_write)
+        cases = [
+            ("GET", "/healthz", None, 200),
+            ("POST", "/v1/compile", b"{not json", 400),
+            ("GET", "/nope", None, 404),
+            # An unknown POST path still has its body consumed, so the
+            # body cannot be parsed as the next request line.
+            ("POST", "/v1/nope", b'{"model": "gcn"}', 404),
+        ]
+        conn = _connection(server)
+        try:
+            for i in range(50):
+                method, path, body, status = cases[i % len(cases)]
+                _, got, length, data = _roundtrip(conn, method, path, body)
+                assert got == status, (i, data)
+                assert int(length) == len(data)
+                assert isinstance(json.loads(data), dict)
+        finally:
+            conn.close()
+        assert len(writes) == 50
+
+
+class TestBundleCache:
+    def test_distinct_seeds_stay_bounded(self):
+        state = ServerState()
+        points = [
+            SweepPoint.make("gcn", model_args={"nodes": 12, "seed": seed})
+            for seed in range(200)
+        ]
+        bundles = [state.bundle_for(point) for point in points]
+        assert len(state._bundles) <= BUNDLE_CACHE_SIZE
+        # The latest point is still cached, and as the same object: the
+        # functional memo keys on tensor identity, so a rebuilt bundle
+        # would miss it.
+        assert state.bundle_for(points[-1]) is bundles[-1]
+        # A hit refreshes the entry: the oldest survivor, touched once,
+        # outlives every point inserted after it but the last.
+        oldest = points[200 - BUNDLE_CACHE_SIZE]
+        kept = state.bundle_for(oldest)
+        state.bundle_for(
+            SweepPoint.make("gcn", model_args={"nodes": 12, "seed": 200})
+        )
+        assert state.bundle_for(oldest) is kept
